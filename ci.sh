@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: formatting, lints on the whole workspace, then tier-1
-# verification (release build + full test suite). Run from the repo root.
+# CI gate: formatting, lints on the whole workspace, tier-1 verification
+# (release build + the root package's tests), then every workspace crate's
+# tests. Run from the repo root.
 set -eu
 
 echo "== cargo fmt --check =="
@@ -19,6 +20,9 @@ cargo test -q -p metam-analyze --test json_schema
 echo "== tier-1: cargo build --release && cargo test -q =="
 cargo build --release
 cargo test -q
+
+echo "== workspace crate tests: cargo test -q --workspace =="
+cargo test -q --workspace
 
 echo "== ingestion bench (smoke: parallel scan + shard + .mtc cache asserts) =="
 cargo run --release -q -p metam-bench --bin ingestion -- --quick --out target/bench-smoke

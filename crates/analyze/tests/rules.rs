@@ -192,9 +192,13 @@ fn raw_thread_spawn_only_in_sanctioned_module() {
     // The scan catalog lost its exemption when the pool moved out of it.
     let report = analyze_source("crates/lake/src/catalog.rs", src);
     assert_eq!(rules_fired(&report), vec!["raw-thread-spawn"]);
-    // Scoped crossbeam spawns are not raw spawns.
-    let src = "scope.spawn(move |_| work());";
-    assert!(analyze_source("crates/profile/src/profile.rs", src).clean());
+    // Scoped spawns (std's and crossbeam's forms) are not raw spawns.
+    for src in [
+        "scope.spawn(move || work());",
+        "scope.spawn(move |_| work());",
+    ] {
+        assert!(analyze_source("crates/profile/src/profile.rs", src).clean());
+    }
     // Tests may thread.
     let src = "#[cfg(test)]\nmod tests {\n    fn t() { std::thread::spawn(|| ()); }\n}";
     assert!(analyze_source("crates/profile/src/profile.rs", src).clean());

@@ -15,11 +15,11 @@ use std::path::PathBuf;
 
 use metam::core::engine::SearchInputs;
 use metam::core::trace::{resample, TracePoint};
+use metam::obs::json::{pretty, write_f64, write_string};
 use metam::{
     run_method, run_method_with_observer, Method, Prepared, QueryEvent, RunObserver, RunResult,
     StopReason,
 };
-use serde::Serialize;
 
 /// Command-line arguments shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -67,7 +67,7 @@ fn usage(msg: &str) -> ! {
 }
 
 /// One plotted series: method label + (queries, utility) points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label.
     pub label: String,
@@ -76,7 +76,7 @@ pub struct Series {
 }
 
 /// One figure panel (e.g. Fig. 3a).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Panel {
     /// Panel id, e.g. `fig3a`.
     pub id: String,
@@ -137,7 +137,7 @@ fn truncate(s: &str, n: usize) -> String {
 }
 
 /// A tabular report (Tables I/II style).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TableReport {
     /// Table id, e.g. `table2`.
     pub id: String,
@@ -195,22 +195,121 @@ impl TableReport {
     }
 }
 
-/// Dump any serializable artifact as `out/<name>.json`.
-pub fn save_json<T: Serialize>(out: &PathBuf, name: &str, value: &T) {
+/// A bench artifact that encodes itself as compact JSON (objects keep
+/// their field order, `(x, y)` pairs and raw rows become arrays).
+pub trait ToJson {
+    /// Append the compact JSON encoding of `self` to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+fn write_object(out: &mut String, fields: &[(&str, &dyn ToJson)]) {
+    out.push('{');
+    for (i, (key, value)) in fields.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_string(out, key);
+        out.push(':');
+        value.write_json(out);
+    }
+    out.push('}');
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        write_string(out, self);
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        self.as_slice().write_json(out);
+    }
+}
+
+/// A `(queries, utility)` plot point.
+impl ToJson for (usize, f64) {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&format!("[{},", self.0));
+        write_f64(out, self.1);
+        out.push(']');
+    }
+}
+
+/// A raw `(dataset, method, utility, queries)` result row.
+impl ToJson for (String, String, f64, usize) {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        write_string(out, &self.0);
+        out.push(',');
+        write_string(out, &self.1);
+        out.push(',');
+        write_f64(out, self.2);
+        out.push_str(&format!(",{}]", self.3));
+    }
+}
+
+impl ToJson for Series {
+    fn write_json(&self, out: &mut String) {
+        write_object(out, &[("label", &self.label), ("points", &self.points)]);
+    }
+}
+
+impl ToJson for Panel {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("id", &self.id),
+                ("title", &self.title),
+                ("x_label", &self.x_label),
+                ("y_label", &self.y_label),
+                ("series", &self.series),
+            ],
+        );
+    }
+}
+
+impl ToJson for TableReport {
+    fn write_json(&self, out: &mut String) {
+        write_object(
+            out,
+            &[
+                ("id", &self.id),
+                ("title", &self.title),
+                ("headers", &self.headers),
+                ("rows", &self.rows),
+            ],
+        );
+    }
+}
+
+/// Dump a bench artifact as indented JSON to `out/<name>.json`.
+pub fn save_json<T: ToJson + ?Sized>(out: &PathBuf, name: &str, value: &T) {
     if fs::create_dir_all(out).is_err() {
         eprintln!("warning: cannot create {out:?}; skipping JSON dump");
         return;
     }
     let path = out.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: cannot write {path:?}: {e}");
-            } else {
-                println!("saved {}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: serialization failed: {e}"),
+    let mut json = String::new();
+    value.write_json(&mut json);
+    if let Err(e) = fs::write(&path, pretty(&json)) {
+        eprintln!("warning: cannot write {path:?}: {e}");
+    } else {
+        println!("saved {}", path.display());
     }
 }
 
@@ -356,6 +455,33 @@ mod tests {
         assert_eq!(plain.queries, observed.queries);
         assert_eq!(plain.selected, observed.selected);
         assert_eq!(plain.utility, observed.utility);
+    }
+
+    fn compact<T: ToJson + ?Sized>(value: &T) -> String {
+        let mut out = String::new();
+        value.write_json(&mut out);
+        out
+    }
+
+    #[test]
+    fn artifacts_encode_as_compact_json() {
+        let mut panel = Panel::new("fig3", "t");
+        panel.series.push(Series {
+            label: "Metam".into(),
+            points: vec![(0, 0.25)],
+        });
+        assert_eq!(
+            compact(&panel),
+            r#"{"id":"fig3","title":"t","x_label":"queries","y_label":"utility","series":[{"label":"Metam","points":[[0,0.25]]}]}"#
+        );
+        let mut table = TableReport::new("table2", "a \"b\"", vec!["x", "y"]);
+        table.push_row(vec!["1".into(), "2".into()]);
+        assert_eq!(
+            compact(&table),
+            r#"{"id":"table2","title":"a \"b\"","headers":["x","y"],"rows":[["1","2"]]}"#
+        );
+        let raw = vec![("price".to_string(), "MW".to_string(), f64::NAN, 12usize)];
+        assert_eq!(compact(&raw), r#"[["price","MW",null,12]]"#);
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! actually win candidacy).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use metam_table::join::first_match_index;
 use metam_table::{Column, Table, TableError, Value};
-use parking_lot::RwLock;
 
 use crate::candidate::{Candidate, CandidateId};
 
@@ -69,12 +68,22 @@ pub struct Materializer {
     cache: RwLock<HashMap<CandidateId, Arc<Column>>>,
 }
 
+// The memo maps only ever gain finished entries, so a panic while a lock
+// is held leaves nothing half-written: poisoning is safe to ignore.
+fn read<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn write<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl std::fmt::Debug for Materializer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Materializer")
             .field("tables", &self.provider.len())
-            .field("fetched", &self.fetched.read().len())
-            .field("cached_columns", &self.cache.read().len())
+            .field("fetched", &read(&self.fetched).len())
+            .field("cached_columns", &read(&self.cache).len())
             .finish()
     }
 }
@@ -105,17 +114,17 @@ impl Materializer {
     /// Repository table by index, fetching through the provider on first
     /// use (memoized; an eager materializer never really "loads").
     pub fn table(&self, idx: usize) -> metam_table::Result<Arc<Table>> {
-        if let Some(t) = self.fetched.read().get(&idx) {
+        if let Some(t) = read(&self.fetched).get(&idx) {
             return Ok(Arc::clone(t));
         }
         let table = self.provider.fetch(idx).map_err(TableError::Provider)?;
-        self.fetched.write().insert(idx, Arc::clone(&table));
+        write(&self.fetched).insert(idx, Arc::clone(&table));
         Ok(table)
     }
 
     /// Number of cached columns (diagnostics).
     pub fn cache_len(&self) -> usize {
-        self.cache.read().len()
+        read(&self.cache).len()
     }
 
     /// Materialize the candidate into a `din`-aligned column.
@@ -128,18 +137,18 @@ impl Materializer {
         din: &Table,
         candidate: &Candidate,
     ) -> metam_table::Result<Arc<Column>> {
-        if let Some(cached) = self.cache.read().get(&candidate.id) {
+        if let Some(cached) = read(&self.cache).get(&candidate.id) {
             return Ok(Arc::clone(cached));
         }
         let column = self.materialize_uncached(din, candidate)?;
         let arc = Arc::new(column);
-        self.cache.write().insert(candidate.id, Arc::clone(&arc));
+        write(&self.cache).insert(candidate.id, Arc::clone(&arc));
         Ok(arc)
     }
 
     /// Drop all cached columns.
     pub fn clear_cache(&self) {
-        self.cache.write().clear();
+        write(&self.cache).clear();
     }
 
     fn materialize_uncached(

@@ -1,5 +1,7 @@
-//! Minimal JSON support for the trace layer: an escaping writer (every
-//! event line is built by hand, no serializer dependency) and a small
+//! Minimal JSON support for the workspace: an escaping writer (every
+//! event line and report is built by hand, no serializer dependency), a
+//! 2-space re-indenter ([`pretty`]) for human-facing output such as
+//! `metam discover --json` and the bench dumps, and a small
 //! recursive-descent parser used to *validate* emitted JSONL — by the
 //! schema tests and the `metam trace-validate` CLI command.
 
@@ -30,6 +32,58 @@ pub fn write_f64(out: &mut String, v: f64) {
     } else {
         out.push_str("null");
     }
+}
+
+/// Re-indent compact JSON with 2 spaces per level: a line break after
+/// every `{`, `[` and `,`, one before every `}` and `]`, and a space after
+/// every `:`. String contents pass through untouched.
+pub fn pretty(compact: &str) -> String {
+    let mut out = String::with_capacity(compact.len() * 2);
+    let mut indent = 0usize;
+    let mut in_str = false;
+    let mut escaped = false;
+    for c in compact.chars() {
+        if in_str {
+            out.push(c);
+            if escaped {
+                escaped = false;
+            } else if c == '\\' {
+                escaped = true;
+            } else if c == '"' {
+                in_str = false;
+            }
+            continue;
+        }
+        match c {
+            '"' => {
+                in_str = true;
+                out.push(c);
+            }
+            '{' | '[' => {
+                indent += 1;
+                out.push(c);
+                out.push('\n');
+                out.push_str(&"  ".repeat(indent));
+            }
+            '}' | ']' => {
+                indent = indent.saturating_sub(1);
+                out.push('\n');
+                out.push_str(&"  ".repeat(indent));
+                out.push(c);
+            }
+            ',' => {
+                out.push(c);
+                out.push('\n');
+                out.push_str(&"  ".repeat(indent));
+            }
+            ':' => {
+                out.push(c);
+                out.push(' ');
+            }
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// A parsed JSON value.
@@ -268,6 +322,26 @@ mod tests {
         assert!(parse("{\"a\":1} trailing").is_err());
         assert!(parse("[1,,2]").is_err());
         assert!(parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn pretty_is_indented_and_balanced() {
+        let compact = "[[1,0.5],[2,1]]";
+        let out = pretty(compact);
+        assert!(out.contains('\n'));
+        assert_eq!(out.matches('[').count(), out.matches(']').count());
+        assert_eq!(parse(&out), parse(compact));
+    }
+
+    #[test]
+    fn pretty_leaves_string_contents_alone() {
+        // Braces, commas and colons inside strings must not confuse the
+        // re-indenter, nor must escaped quotes.
+        assert_eq!(pretty("\"a{\""), "\"a{\"");
+        assert_eq!(
+            pretty(r#"{"k":"a,b:{}\"]"}"#),
+            "{\n  \"k\": \"a,b:{}\\\"]\"\n}"
+        );
     }
 
     #[test]

@@ -39,17 +39,15 @@ where
     } else {
         let chunk = items.len().div_ceil(threads);
         let f = &f;
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for (result_chunk, item_chunk) in results.chunks_mut(chunk).zip(items.chunks(chunk)) {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for (slot, item) in result_chunk.iter_mut().zip(item_chunk) {
                         *slot = Some(f(item));
                     }
                 });
             }
-        })
-        // metam-analyze: allow(panic-in-lib): a worker panic is already a bug aborting the caller; re-raising preserves the panic payload
-        .expect("pool worker panicked");
+        });
     }
     results
         .into_iter()

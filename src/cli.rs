@@ -410,7 +410,7 @@ fn cmd_discover(args: &[String]) -> CliResult<()> {
         load_counters.misses(),
     );
     if json {
-        println!("{}", serde_json::to_string_pretty(&report)?);
+        println!("{}", metam_obs::json::pretty(&report.to_json()));
     } else {
         print_report(&report);
     }

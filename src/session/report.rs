@@ -3,11 +3,13 @@
 use metam_core::trace::TracePoint;
 use metam_core::StopReason;
 use metam_discovery::CandidateId;
+use metam_obs::json::{write_f64, write_string};
 use metam_obs::MetricsSnapshot;
 
 /// Everything one discovery run produced: the solution, budget accounting,
 /// wall-clock timings and the utility-vs-queries trace. Serializes to JSON
-/// via the `serde` shim for the CLI's `--json` mode and bench harnesses.
+/// with [`RunReport::to_json`] for the CLI's `--json` mode and bench
+/// harnesses.
 #[derive(Debug, Clone)]
 pub struct RunReport {
     /// Method display name ("Metam", "Uniform", …).
@@ -67,76 +69,62 @@ impl RunReport {
         metam_core::engine::remaining_budget(self.budget, self.queries)
     }
 
-    /// Compact JSON encoding (the `--json` CLI payload).
+    /// Compact JSON encoding (the `--json` CLI payload). Hand-rolled so
+    /// unbounded budgets encode as null and the stop reason encodes as its
+    /// Display string.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        serde::Serialize::serialize(self, &mut out);
-        out
-    }
-}
-
-fn write_opt_usize(out: &mut String, v: Option<usize>) {
-    match v {
-        Some(n) => out.push_str(&n.to_string()),
-        None => out.push_str("null"),
-    }
-}
-
-impl serde::Serialize for RunReport {
-    fn serialize(&self, out: &mut String) {
-        // Hand-rolled so unbounded budgets encode as null and the stop
-        // reason encodes as its Display string.
         out.push('{');
-        serde::write_json_string(out, "method");
+        write_string(&mut out, "method");
         out.push(':');
-        serde::write_json_string(out, &self.method);
+        write_string(&mut out, &self.method);
         out.push_str(",\"din\":{");
-        serde::write_json_string(out, "name");
+        write_string(&mut out, "name");
         out.push(':');
-        serde::write_json_string(out, &self.din_name);
+        write_string(&mut out, &self.din_name);
         out.push_str(&format!(
             ",\"rows\":{},\"cols\":{}}}",
             self.din_rows, self.din_cols
         ));
         out.push_str(&format!(",\"candidates\":{}", self.n_candidates));
         out.push_str(",\"utility\":");
-        serde::Serialize::serialize(&self.utility, out);
+        write_f64(&mut out, self.utility);
         out.push_str(",\"base_utility\":");
-        serde::Serialize::serialize(&self.base_utility, out);
+        write_f64(&mut out, self.base_utility);
         out.push_str(",\"gain\":");
-        serde::Serialize::serialize(&self.gain(), out);
+        write_f64(&mut out, self.gain());
         out.push_str(&format!(",\"queries\":{}", self.queries));
         out.push_str(",\"budget\":");
-        write_opt_usize(out, (self.budget != usize::MAX).then_some(self.budget));
+        write_opt_usize(&mut out, (self.budget != usize::MAX).then_some(self.budget));
         out.push_str(",\"queries_remaining\":");
         write_opt_usize(
-            out,
+            &mut out,
             (self.budget != usize::MAX).then_some(self.queries_remaining()),
         );
         out.push_str(",\"stop_reason\":");
         match self.stop_reason {
-            Some(r) => serde::write_json_string(out, &r.to_string()),
+            Some(r) => write_string(&mut out, &r.to_string()),
             None => out.push_str("null"),
         }
         out.push_str(",\"n_clusters\":");
-        write_opt_usize(out, self.n_clusters);
+        write_opt_usize(&mut out, self.n_clusters);
         out.push_str(",\"certification_ignored\":");
-        write_opt_usize(out, self.certification_ignored);
+        write_opt_usize(&mut out, self.certification_ignored);
         out.push_str(",\"selected\":[");
         for (i, (&id, name)) in self.selected.iter().zip(&self.selected_names).enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str(&format!("{{\"id\":{id},\"name\":"));
-            serde::write_json_string(out, name);
+            write_string(&mut out, name);
             out.push('}');
         }
         out.push(']');
         out.push_str(&format!(",\"threads\":{}", self.threads));
         out.push_str(",\"prepare_secs\":");
-        serde::Serialize::serialize(&self.prepare_secs, out);
+        write_f64(&mut out, self.prepare_secs);
         out.push_str(",\"search_secs\":");
-        serde::Serialize::serialize(&self.search_secs, out);
+        write_f64(&mut out, self.search_secs);
         out.push_str(",\"metrics\":");
         match &self.metrics {
             Some(m) => out.push_str(&m.to_json()),
@@ -148,16 +136,25 @@ impl serde::Serialize for RunReport {
                 out.push(',');
             }
             out.push_str(&format!("[{},", p.queries));
-            serde::Serialize::serialize(&p.utility, out);
+            write_f64(&mut out, p.utility);
             out.push(']');
         }
         out.push_str("]}");
+        out
+    }
+}
+
+fn write_opt_usize(out: &mut String, v: Option<usize>) {
+    match v {
+        Some(n) => out.push_str(&n.to_string()),
+        None => out.push_str("null"),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metam_obs::json::{parse, pretty};
 
     fn report() -> RunReport {
         RunReport {
@@ -204,9 +201,9 @@ mod tests {
         assert!(json.contains("\"selected\":[{\"id\":1,\"name\":\"a \\\"q\\\"\"}"));
         assert!(json.contains("\"trace\":[[1,0.5],[7,0.9]]"));
         assert!(json.contains("\"threads\":1"));
-        // Must survive the shim's pretty-printer (i.e. be parseable JSON
-        // as far as the shim's tokenizer is concerned).
-        assert!(serde_json::to_string_pretty(&report()).is_ok());
+        // Parseable, and re-indenting it changes layout only.
+        let compact = parse(&json).expect("compact report parses");
+        assert_eq!(parse(&pretty(&json)), Ok(compact));
     }
 
     #[test]
