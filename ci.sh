@@ -24,7 +24,7 @@ cargo test -q
 echo "== workspace crate tests: cargo test -q --workspace =="
 cargo test -q --workspace
 
-echo "== ingestion bench (smoke: parallel scan + shard + .mtc cache asserts) =="
+echo "== ingestion bench (smoke: parallel scan + re-profile + .mtc cache asserts) =="
 cargo run --release -q -p metam-bench --bin ingestion -- --quick --out target/bench-smoke
 
 echo "== search bench (smoke: batched query execution determinism asserts) =="
@@ -41,6 +41,14 @@ trap 'rm -rf "$TRACE_DIR"' EXIT
     --task classification:label --budget 60 --seed 7 --threads 2 \
     --trace "$TRACE_DIR/run.jsonl" >/dev/null
 ./target/release/metam trace-validate "$TRACE_DIR/run.jsonl"
+# Warm path: the records discover left behind serve a rescan in full, and
+# the sketch records are the catalog's only metadata files.
+./target/release/metam scan "$TRACE_DIR/lake" > "$TRACE_DIR/scan.txt"
+grep -q ', 0 re-profiled$' "$TRACE_DIR/scan.txt" \
+    || { echo "warm scan re-profiled files:"; tail -2 "$TRACE_DIR/scan.txt"; exit 1; }
+if ls "$TRACE_DIR/lake/.metam" | grep -q '^catalog.*\.tsv$'; then
+    echo "warm scan left catalog*.tsv files in .metam"; exit 1
+fi
 
 echo "== serve smoke: daemon answers status/discover over TCP, then drains =="
 SERVE_LOG="$TRACE_DIR/serve.log"

@@ -125,7 +125,7 @@ fn main() {
         // Sketch path: descriptors from persisted records, payloads
         // lazily through the catalog — under fresh load counters.
         let catalog = Arc::new(LakeCatalog::scan(&dir).expect("rescan"));
-        assert_eq!(catalog.sketch_hits(), n_tables + 1, "records are warm");
+        assert_eq!(catalog.cache_hits(), n_tables + 1, "records are warm");
         let counters = catalog.load_counters();
         let sketch_counters = catalog.sketch_load_counters();
         let sketch_start = Instant::now();

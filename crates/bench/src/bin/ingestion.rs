@@ -1,5 +1,5 @@
-//! Lake ingestion benchmark: parallel scan vs sequential, shard rewrite
-//! granularity, and `.mtc` columnar-cache loads vs CSV re-parsing.
+//! Lake ingestion benchmark: parallel scan vs sequential, per-file
+//! re-profiling, and `.mtc` columnar-cache loads vs CSV re-parsing.
 //!
 //! Generates a many-file CSV lake (500 files; 60 with `--quick`), then
 //! measures and **asserts** the ingestion properties the lake layer
@@ -7,8 +7,8 @@
 //!
 //! 1. a cold parallel scan produces byte-identical catalog state to a
 //!    sequential scan (and beats it on wall-clock when >1 core is up),
-//! 2. a warm rescan is all cache hits and rewrites zero manifest shards,
-//! 3. touching one file re-profiles one file and rewrites one shard,
+//! 2. a warm rescan is all cache hits,
+//! 3. touching one file re-profiles exactly that file,
 //! 4. repository loads deserialize from the columnar cache, not CSV.
 //!
 //! `--quick` is the CI smoke mode (run by `ci.sh`): small lake, all
@@ -17,7 +17,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use metam::lake::{manifest, LakeCatalog, ScanOptions};
+use metam::lake::{LakeCatalog, ScanOptions};
 use metam_bench::{save_json, Args, TableReport};
 
 /// Deterministic row data (tiny splitmix; no rand dependency needed).
@@ -103,19 +103,17 @@ fn main() {
         );
     }
 
-    // 2. Warm rescan: all hits, no shard rewritten.
+    // 2. Warm rescan: all hits.
     let (warm, warm_secs) = timed_scan(&dir, &ScanOptions::default());
     assert_eq!(warm.cache_hits(), n_files, "warm rescan is all cache hits");
     assert_eq!(warm.cache_misses(), 0);
-    assert_eq!(warm.shards_written(), 0, "unchanged lake rewrites nothing");
     println!(
-        "warm rescan: {warm_secs:.3}s, {}/{} hits, {} shard(s) rewritten",
+        "warm rescan: {warm_secs:.3}s, {}/{} reused",
         warm.cache_hits(),
         n_files,
-        warm.shards_written()
     );
 
-    // 3. Touch one file: one re-profile, one shard rewritten.
+    // 3. Touch one file: one re-profile.
     let touched = dir.join("t0000.csv");
     let mut text = std::fs::read_to_string(&touched).expect("read");
     text.push_str("z9999,1.0,1,extra\n");
@@ -123,12 +121,6 @@ fn main() {
     let (after_touch, _) = timed_scan(&dir, &ScanOptions::default());
     assert_eq!(after_touch.cache_misses(), 1, "only the touched file");
     assert_eq!(after_touch.cache_hits(), n_files - 1);
-    assert_eq!(
-        after_touch.shards_written(),
-        1,
-        "touching one file rewrites exactly its shard (of {})",
-        manifest::SHARD_COUNT
-    );
 
     // 4. Repository loads: CSV re-parse (cache wiped) vs `.mtc` columns.
     let _ = std::fs::remove_dir_all(metam::lake::cache::cache_dir(&dir));

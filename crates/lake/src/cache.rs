@@ -2,7 +2,7 @@
 //!
 //! Every profiled file's parsed [`Table`] is persisted as
 //! `<file name>.mtc` — a fingerprint prefix (file size + mtime, the same
-//! invalidation key the catalog manifest uses) followed by a
+//! invalidation key the `.mks` sketch record uses) followed by a
 //! [`metam_table::colbin`] payload. `LakeCatalog::load_table` /
 //! `load_all_except` deserialize columns straight from this cache instead
 //! of re-parsing CSV text on every discover run; a missing, stale,

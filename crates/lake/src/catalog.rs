@@ -1,32 +1,31 @@
 //! [`LakeCatalog`]: scan a directory of CSVs into a persistent catalog.
 //!
 //! A scan walks `<root>` for `*.csv` files (sorted, deterministic) and
-//! profiles each one ([`ColumnStats`] per column). Changed files are
-//! profiled **in parallel** across scoped worker threads (worker count =
-//! available parallelism, overridable via `METAM_SCAN_THREADS` or
-//! [`ScanOptions`]); results merge back in file-name order, so manifests
+//! profiles each one ([`ColumnStats`] plus a MinHash per column). Changed
+//! files are profiled **in parallel** across scoped worker threads (worker
+//! count = available parallelism, overridable via `METAM_SCAN_THREADS` or
+//! [`ScanOptions`]); results merge back in file-name order, so records
 //! and cache counters are byte-identical with a sequential scan.
 //!
 //! Persistence lives under `<root>/.metam/`:
 //!
-//! * `catalog-<k>.tsv` — the manifest, sharded by file-name hash
-//!   ([`crate::manifest`]); a touched file rewrites one shard, not the
-//!   whole catalog. A legacy single-file `catalog.tsv` migrates
-//!   transparently on the next scan.
+//! * `sketches/<file>.mks` — the catalog's one record per file
+//!   ([`crate::sketch`]): fingerprint, row count and per-column
+//!   statistics + MinHash. An unchanged file's [`TableMeta`] is rebuilt
+//!   from its record, and
+//!   [`sketch_descriptors`](LakeCatalog::sketch_descriptors) rebuilds a
+//!   payload-free [`TableDescriptor`] set from the same records, so
+//!   neither a warm scan nor candidate generation loads table data.
 //! * `cache/<file>.mtc` — each profiled table serialized in the binary
 //!   columnar format ([`crate::cache`]); [`LakeCatalog::load_table`] and
 //!   [`load_all_except`](LakeCatalog::load_all_except) deserialize columns
 //!   directly instead of re-parsing CSV text.
-//! * `sketches/<file>.mks` — one discovery-sketch record per table
-//!   ([`crate::sketch`]): per-column MinHash + exact distinct count, null
-//!   count, dtype and value range.
-//!   [`sketch_descriptors`](LakeCatalog::sketch_descriptors) rebuilds a
-//!   payload-free [`TableDescriptor`] set from these, so candidate
-//!   generation never loads table data.
 //!
-//! All layers invalidate on the same fingerprint (file size + mtime); a
-//! manifest hit whose sketch record is missing or damaged is demoted to a
-//! miss so the record heals by re-profiling just that file.
+//! Both layers invalidate on the same fingerprint (file size + mtime). A
+//! file whose record is missing, stale or damaged is a miss: the scan
+//! re-profiles just that file and rewrites its record. Writes are
+//! best-effort, so a lake whose `.metam` cannot be written still scans
+//! (re-profiling every file each time).
 //! [`LakeCatalog::cache_hits`] counts profile reuse across scans;
 //! [`LakeCatalog::load_counters`] counts `.mtc` hits vs CSV fallbacks;
 //! [`LakeCatalog::sketch_load_counters`] counts prepare-time sketch reads
@@ -41,8 +40,9 @@ use metam_discovery::TableDescriptor;
 use metam_table::csv::read_csv;
 use metam_table::Table;
 
+use crate::sketch::TableSketch;
 use crate::stats::ColumnStats;
-use crate::{cache, manifest, sketch};
+use crate::{cache, sketch};
 use crate::{LakeError, Result};
 
 /// Catalog record of one lake table.
@@ -67,9 +67,26 @@ pub struct TableMeta {
 }
 
 impl TableMeta {
-    /// The invalidation key shared by the manifest and the table cache.
+    /// The invalidation key shared by the sketch record and the table
+    /// cache.
     pub fn fingerprint(&self) -> Fingerprint {
         (self.file_size, self.mtime_s, self.mtime_ns)
+    }
+
+    /// The catalog entry of `file_name` at fingerprint `fp`, built from
+    /// its sketch record; the name is the file stem, like
+    /// [`read_table_file`]'s.
+    fn from_record(file_name: String, fp: Fingerprint, record: TableSketch) -> TableMeta {
+        TableMeta {
+            name: file_stem(Path::new(&file_name)),
+            file_name,
+            file_size: fp.0,
+            mtime_s: fp.1,
+            mtime_ns: fp.2,
+            nrows: record.nrows,
+            ncols: record.columns.len(),
+            columns: record.columns.into_iter().map(|c| c.stats).collect(),
+        }
     }
 }
 
@@ -168,9 +185,6 @@ pub struct LakeCatalog {
     by_name: HashMap<String, usize>,
     cache_hits: usize,
     cache_misses: usize,
-    shards_written: usize,
-    sketch_hits: usize,
-    sketch_misses: usize,
     load_counters: Arc<LoadCounters>,
     sketch_counters: Arc<LoadCounters>,
 }
@@ -193,63 +207,38 @@ struct MissJob {
     file_name: String,
     path: PathBuf,
     fp: Fingerprint,
-    /// Whether the sketch record needs (re-)writing. `false` when only
-    /// the manifest shard was lost (e.g. corruption) but the sketch is
-    /// still fresh — profiling then leaves the valid record alone.
-    write_sketch: bool,
 }
 
-/// Profile one file: parse the CSV, compute per-column statistics, and
-/// persist the parsed table into the columnar cache plus (when stale) its
-/// discovery-sketch record (both best-effort — a read-only `.metam`
-/// degrades loads to CSV, it must not fail the scan).
+/// Profile one file: parse the CSV, compute its sketch record, and persist
+/// the record plus the parsed table's columnar cache (both best-effort — a
+/// read-only `.metam` re-profiles and degrades loads to CSV, it must not
+/// fail the scan). The entry is built from the record just computed, so
+/// cold and warm scans yield equal entries.
 fn profile_one(root: &Path, job: &MissJob) -> Result<TableMeta> {
     let _span = metam_obs::span("scan.profile", &job.file_name);
     let table = read_table_file(&job.path)?;
     let _ = cache::store(root, &job.file_name, job.fp, &table);
-    if job.write_sketch {
-        let _ = sketch::store(
-            root,
-            &job.file_name,
-            job.fp,
-            &sketch::TableSketch::from_table(&table),
-        );
-    }
-    Ok(TableMeta {
-        name: table.name.clone(),
-        file_name: job.file_name.clone(),
-        file_size: job.fp.0,
-        mtime_s: job.fp.1,
-        mtime_ns: job.fp.2,
-        nrows: table.nrows(),
-        ncols: table.ncols(),
-        columns: table
-            .columns()
-            .iter()
-            .map(ColumnStats::from_column)
-            .collect(),
-    })
+    let record = TableSketch::from_table(&table);
+    let _ = sketch::store(root, &job.file_name, job.fp, &record);
+    Ok(TableMeta::from_record(
+        job.file_name.clone(),
+        job.fp,
+        record,
+    ))
 }
 
 /// Profile every queued file over the shared worker pool
 /// ([`metam_pool::try_map`]). Results come back in job (file-name) order,
-/// so the merged manifest is position-stable regardless of scheduling.
+/// so the merged catalog is position-stable regardless of scheduling.
 fn profile_all(root: &Path, jobs: &[MissJob], threads: usize) -> Vec<Result<TableMeta>> {
     metam_pool::try_map(jobs, threads, |job| profile_one(root, job))
 }
 
 impl LakeCatalog {
-    /// The `.metam` metadata directory under a lake root (manifest shards
+    /// The `.metam` metadata directory under a lake root (sketch records
     /// + columnar cache).
     pub fn meta_dir(root: &Path) -> PathBuf {
         root.join(".metam")
-    }
-
-    /// Path of the **legacy** single-file manifest under a lake root.
-    /// Current catalogs are sharded (`catalog-<k>.tsv`); this path is
-    /// read for migration only.
-    pub fn manifest_path(root: &Path) -> PathBuf {
-        manifest::legacy_path(&Self::meta_dir(root))
     }
 
     /// [`scan_with`](Self::scan_with) under default options (worker count
@@ -258,17 +247,12 @@ impl LakeCatalog {
         Self::scan_with(root, &ScanOptions::default())
     }
 
-    /// Scan `root` for CSV files, profiling new/changed files (in
-    /// parallel) and reusing the persisted profile cache for unchanged
-    /// ones; the refreshed manifest is written back (only shards that
-    /// changed) before returning.
+    /// Scan `root` for CSV files, reusing the persisted sketch record of
+    /// every unchanged file and profiling new/changed files (in parallel),
+    /// which rewrites their records.
     pub fn scan_with(root: impl AsRef<Path>, options: &ScanOptions) -> Result<LakeCatalog> {
         let root = root.as_ref().to_path_buf();
         let mut scan_span = metam_obs::span("scan", root.display().to_string());
-        let meta_dir = Self::meta_dir(&root);
-        // A corrupt shard must not brick the lake: its entries are simply
-        // absent from the cached view (the rewrite below heals it).
-        let cached = manifest::load_cached(&meta_dir);
 
         let mut files: Vec<(String, PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&root)? {
@@ -303,9 +287,6 @@ impl LakeCatalog {
             )));
         }
 
-        let cached_by_file: HashMap<&str, &TableMeta> =
-            cached.iter().map(|e| (e.file_name.as_str(), e)).collect();
-
         /// A scan slot: an unchanged entry reused as-is, or the index of
         /// a queued profiling job.
         enum Planned {
@@ -314,33 +295,22 @@ impl LakeCatalog {
         }
         let mut plan = Vec::with_capacity(files.len());
         let mut jobs: Vec<MissJob> = Vec::new();
-        let mut sketch_hits = 0usize;
         for (file_name, path) in files {
             let fp = fingerprint(&path)?;
-            // A manifest hit only counts when the sketch record is fresh
-            // too: a missing/stale/corrupt record demotes the file to a
-            // miss, so sketches heal by re-profiling exactly their file.
-            let sketch_fresh = sketch::is_fresh(&root, &file_name, fp);
-            if sketch_fresh {
-                sketch_hits += 1;
-            }
-            match cached_by_file
-                .get(file_name.as_str())
-                .filter(|e| e.fingerprint() == fp && sketch_fresh)
-            {
-                Some(&hit) => plan.push(Planned::Hit(hit.clone())),
+            match sketch::read(&root, &file_name, fp) {
+                Some(record) => {
+                    plan.push(Planned::Hit(TableMeta::from_record(file_name, fp, record)))
+                }
                 None => {
                     plan.push(Planned::Miss(jobs.len()));
                     jobs.push(MissJob {
                         file_name,
                         path,
                         fp,
-                        write_sketch: !sketch_fresh,
                     });
                 }
             }
         }
-        let sketch_misses = plan.len() - sketch_hits;
 
         let cache_misses = jobs.len();
         let cache_hits = plan.len() - cache_misses;
@@ -360,17 +330,11 @@ impl LakeCatalog {
             }
         }
 
-        let shards_written = manifest::store_sharded(&meta_dir, &entries)?;
         metam_obs::counter_add("lake.scan.profile_hits", cache_hits as u64);
         metam_obs::counter_add("lake.scan.profile_misses", cache_misses as u64);
-        metam_obs::counter_add("lake.scan.shards_written", shards_written as u64);
-        metam_obs::counter_add("lake.scan.sketch_hits", sketch_hits as u64);
-        metam_obs::counter_add("lake.scan.sketch_misses", sketch_misses as u64);
         scan_span.field("files", entries.len() as f64);
         scan_span.field("profile_hits", cache_hits as f64);
         scan_span.field("profile_misses", cache_misses as f64);
-        scan_span.field("sketch_hits", sketch_hits as f64);
-        scan_span.field("sketch_misses", sketch_misses as f64);
         let by_name = entries
             .iter()
             .enumerate()
@@ -382,9 +346,6 @@ impl LakeCatalog {
             by_name,
             cache_hits,
             cache_misses,
-            shards_written,
-            sketch_hits,
-            sketch_misses,
             load_counters: Arc::new(LoadCounters::default()),
             sketch_counters: Arc::new(LoadCounters::default()),
         })
@@ -410,36 +371,15 @@ impl LakeCatalog {
         self.entries.is_empty()
     }
 
-    /// Files whose cached profile was reused by the last scan.
+    /// Files whose sketch record was reused by the last scan.
     pub fn cache_hits(&self) -> usize {
         self.cache_hits
     }
 
-    /// Files the last scan had to (re-)profile.
+    /// Files the last scan had to (re-)profile: new or changed files, plus
+    /// files whose record was missing, stale or damaged.
     pub fn cache_misses(&self) -> usize {
         self.cache_misses
-    }
-
-    /// Manifest shards the last scan rewrote (0 on a fully-cached rescan;
-    /// touching one file rewrites exactly its shard).
-    pub fn shards_written(&self) -> usize {
-        self.shards_written
-    }
-
-    /// Total number of manifest shards in the on-disk layout.
-    pub fn shard_count(&self) -> usize {
-        manifest::SHARD_COUNT
-    }
-
-    /// Files whose sketch record was fresh at the last scan.
-    pub fn sketch_hits(&self) -> usize {
-        self.sketch_hits
-    }
-
-    /// Files whose sketch record the last scan had to (re-)write (new or
-    /// changed files, plus healed missing/stale/corrupt records).
-    pub fn sketch_misses(&self) -> usize {
-        self.sketch_misses
     }
 
     /// The `.mtc`-vs-CSV load counters, shared: the returned handle keeps
@@ -477,17 +417,18 @@ impl LakeCatalog {
             return Ok(table);
         }
         self.load_counters.add_miss();
-        let path = self.root.join(&entry.file_name);
-        let table = read_table_file(&path)?;
-        // Heal the cache — but only when the file still matches the
-        // cataloged fingerprint; a file modified since the scan would
-        // otherwise pin stale bytes under a fresh-looking key.
-        if let Ok(fp) = fingerprint(&path) {
-            if fp == entry.fingerprint() {
-                let _ = cache::store(&self.root, &entry.file_name, fp, &table);
-            }
+        let table = read_table_file(&self.root.join(&entry.file_name))?;
+        if self.unchanged_since_scan(entry) {
+            let _ = cache::store(&self.root, &entry.file_name, entry.fingerprint(), &table);
         }
         Ok(table)
+    }
+
+    /// Whether `entry`'s file still matches its cataloged fingerprint.
+    /// Every heal checks this first: a file modified since the scan would
+    /// otherwise pin new content under the old, fresh-looking key.
+    fn unchanged_since_scan(&self, entry: &TableMeta) -> bool {
+        fingerprint(&self.root.join(&entry.file_name)).is_ok_and(|fp| fp == entry.fingerprint())
     }
 
     /// Load every table except those named in `exclude` (typically the
@@ -541,9 +482,15 @@ impl LakeCatalog {
                 None => {
                     self.sketch_counters.add_miss();
                     let table = self.load_entry(entry)?;
-                    let record = sketch::TableSketch::from_table(&table);
-                    let _ =
-                        sketch::store(&self.root, &entry.file_name, entry.fingerprint(), &record);
+                    let record = TableSketch::from_table(&table);
+                    if self.unchanged_since_scan(entry) {
+                        let _ = sketch::store(
+                            &self.root,
+                            &entry.file_name,
+                            entry.fingerprint(),
+                            &record,
+                        );
+                    }
                     record
                 }
             };
@@ -624,10 +571,7 @@ impl LakeCatalog {
 /// Read one CSV file as a [`Table`] named by its file stem, tagged with the
 /// lake directory name as its provenance source.
 pub fn read_table_file(path: &Path) -> Result<Table> {
-    let stem = path
-        .file_stem()
-        .map(|s| s.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "table".to_string());
+    let stem = file_stem(path);
     let file =
         std::fs::File::open(path).map_err(|e| LakeError::Io(format!("{}: {e}", path.display())))?;
     let reader = std::io::BufReader::new(file);
@@ -636,6 +580,13 @@ pub fn read_table_file(path: &Path) -> Result<Table> {
         table.source = dir.to_string_lossy().into_owned();
     }
     Ok(table)
+}
+
+/// The table name of a lake file: its file stem.
+fn file_stem(path: &Path) -> String {
+    path.file_stem()
+        .map(|s| s.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "table".to_string())
 }
 
 #[cfg(test)]
@@ -665,23 +616,20 @@ mod tests {
         assert_eq!(cat.get("a").unwrap().nrows, 2);
         assert_eq!(cat.total_rows(), 3);
         assert_eq!(cat.total_columns(), 4);
-        assert!(cat.shards_written() >= 1, "cold scan writes shards");
 
-        // Second scan: everything unchanged ⇒ all hits, nothing rewritten.
+        // Second scan: everything unchanged ⇒ all hits, and the entries
+        // rebuilt from the records equal the freshly profiled ones.
         let cat2 = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat2.cache_hits(), 2);
         assert_eq!(cat2.cache_misses(), 0);
         assert_eq!(cat2.entries(), cat.entries());
-        assert_eq!(cat2.shards_written(), 0, "unchanged lake rewrites nothing");
 
-        // Touch one file with different content size ⇒ one miss, and only
-        // that file's shard is rewritten.
+        // Touch one file with different content size ⇒ one miss.
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\nz9,6\n").unwrap();
         let cat3 = LakeCatalog::scan(&dir).unwrap();
         assert_eq!(cat3.cache_misses(), 1);
         assert_eq!(cat3.cache_hits(), 1);
         assert_eq!(cat3.get("b").unwrap().nrows, 2);
-        assert_eq!(cat3.shards_written(), 1, "only the touched shard");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -769,53 +717,22 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_shard_heals() {
-        let dir = tmp_dir("heal");
-        fs::write(dir.join("a.csv"), "x\n1\n").unwrap();
-        LakeCatalog::scan(&dir).unwrap();
-        let shard = manifest::shard_path(&LakeCatalog::meta_dir(&dir), manifest::shard_of("a.csv"));
-        assert!(shard.exists(), "cold scan wrote the shard");
-        fs::write(&shard, "garbage\nmore garbage").unwrap();
-        let cat = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cat.len(), 1);
-        assert_eq!(cat.cache_misses(), 1, "corrupt shard forces re-profiling");
-        // And the shard is valid again.
-        let cat2 = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cat2.cache_hits(), 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn legacy_single_file_catalog_migrates_to_shards() {
-        let dir = tmp_dir("migrate");
+    fn unwritable_meta_dir_still_scans() {
+        let dir = tmp_dir("readonly");
         fs::write(dir.join("a.csv"), "zip,v\nz1,1\nz2,2\n").unwrap();
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\n").unwrap();
-        let cat = LakeCatalog::scan(&dir).unwrap();
-
-        // Rebuild the old layout by hand: one catalog.tsv, no shards.
-        let meta_dir = LakeCatalog::meta_dir(&dir);
-        let legacy = manifest::legacy_path(&meta_dir);
-        manifest::store(&legacy, cat.entries()).unwrap();
-        for k in 0..manifest::SHARD_COUNT {
-            let _ = fs::remove_file(manifest::shard_path(&meta_dir, k));
+        // A regular file where `.metam` should be: no record or cache file
+        // can be written beneath it (unlike permission bits, this holds
+        // for root too).
+        fs::write(LakeCatalog::meta_dir(&dir), "not a directory").unwrap();
+        for _ in 0..2 {
+            let cat = LakeCatalog::scan(&dir).unwrap();
+            assert_eq!(cat.len(), 2);
+            assert_eq!(cat.cache_misses(), cat.len(), "nothing persists");
+            let counters = cat.load_counters();
+            assert_eq!(cat.load_table("a").unwrap().nrows(), 2);
+            assert_eq!(counters.misses(), 1, "served from the CSV source");
         }
-
-        // The next scan reads the legacy manifest (all hits — nothing
-        // re-profiles), writes shards, and removes the old file.
-        let migrated = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(migrated.cache_hits(), 2, "migration must not re-profile");
-        assert_eq!(migrated.cache_misses(), 0);
-        assert_eq!(migrated.entries(), cat.entries());
-        assert!(!legacy.exists(), "legacy manifest removed after migration");
-        let occupied = manifest::occupied_shards(migrated.entries());
-        for &k in &occupied {
-            assert!(manifest::shard_path(&meta_dir, k).exists());
-        }
-
-        // And the sharded layout is now authoritative.
-        let again = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(again.cache_hits(), 2);
-        assert_eq!(again.shards_written(), 0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -831,14 +748,13 @@ mod tests {
             .unwrap();
         }
         let sequential = LakeCatalog::scan_with(&dir, &ScanOptions::sequential()).unwrap();
-        let shard_texts = |d: &Path| -> Vec<Option<String>> {
-            (0..manifest::SHARD_COUNT)
-                .map(|k| {
-                    fs::read_to_string(manifest::shard_path(&LakeCatalog::meta_dir(d), k)).ok()
-                })
+        let records = |cat: &LakeCatalog| -> Vec<Vec<u8>> {
+            cat.entries()
+                .iter()
+                .map(|e| fs::read(sketch::sketch_path(&dir, &e.file_name)).unwrap())
                 .collect()
         };
-        let seq_shards = shard_texts(&dir);
+        let seq_records = records(&sequential);
 
         // Wipe all persisted state and rescan with many workers.
         fs::remove_dir_all(LakeCatalog::meta_dir(&dir)).unwrap();
@@ -847,9 +763,9 @@ mod tests {
         assert_eq!(parallel.cache_hits(), sequential.cache_hits());
         assert_eq!(parallel.cache_misses(), sequential.cache_misses());
         assert_eq!(
-            shard_texts(&dir),
-            seq_shards,
-            "manifest shards are byte-identical regardless of thread count"
+            records(&parallel),
+            seq_records,
+            "sketch records are byte-identical regardless of thread count"
         );
 
         // A warm parallel rescan hits everywhere, exactly like sequential.
@@ -919,26 +835,26 @@ mod tests {
         fs::write(dir.join("b.csv"), "zip,w\nz1,5\n").unwrap();
 
         let cold = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(cold.sketch_hits(), 0);
-        assert_eq!(cold.sketch_misses(), 2, "cold scan writes every record");
+        assert_eq!(cold.cache_hits(), 0);
+        assert_eq!(cold.cache_misses(), 2, "cold scan writes every record");
         assert!(sketch::sketch_path(&dir, "a.csv").exists());
 
         let warm = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(warm.sketch_hits(), 2, "unchanged lake reuses records");
-        assert_eq!(warm.sketch_misses(), 0);
+        assert_eq!(warm.cache_hits(), 2, "unchanged lake reuses records");
+        assert_eq!(warm.cache_misses(), 0);
 
-        // Deleting one record demotes that file to a profile miss: the
-        // scan re-profiles exactly it and rewrites the record.
+        // Deleting one record makes that file a miss: the scan
+        // re-profiles exactly it and rewrites the record.
         fs::remove_file(sketch::sketch_path(&dir, "b.csv")).unwrap();
         let healed = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(healed.sketch_misses(), 1);
         assert_eq!(
             healed.cache_misses(),
             1,
-            "missing sketch forces re-profiling"
+            "missing record forces re-profiling"
         );
         assert_eq!(healed.cache_hits(), 1, "the intact file stays cached");
         assert!(sketch::sketch_path(&dir, "b.csv").exists(), "record healed");
+        assert_eq!(healed.entries(), cold.entries());
 
         // Corrupting a record has the same effect as deleting it.
         let path = sketch::sketch_path(&dir, "a.csv");
@@ -947,9 +863,10 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
         let reheal = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(reheal.sketch_misses(), 1, "corrupt record re-profiles");
+        assert_eq!(reheal.cache_misses(), 1, "corrupt record re-profiles");
+        assert_eq!(reheal.entries(), cold.entries());
         let last = LakeCatalog::scan(&dir).unwrap();
-        assert_eq!(last.sketch_hits(), 2, "healed records hit again");
+        assert_eq!(last.cache_hits(), 2, "healed records hit again");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -982,6 +899,31 @@ mod tests {
         assert_eq!(again, eager, "fallback path produces the same result");
         assert_eq!(counters.misses(), 1, "one record fell back to a load");
         assert!(sketch::sketch_path(&dir, "x.csv").exists(), "record healed");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn sketch_descriptors_do_not_heal_under_a_stale_fingerprint() {
+        let dir = tmp_dir("sketch-stale-heal");
+        fs::write(dir.join("din.csv"), "k,y\na,1\n").unwrap();
+        fs::write(dir.join("x.csv"), "k,v\na,2\n").unwrap();
+        let cat = LakeCatalog::scan(&dir).unwrap();
+        let old_fp = cat.get("x").unwrap().fingerprint();
+
+        // The file changes after the scan (a different size, so a
+        // different fingerprint) and both of its persisted layers vanish.
+        fs::write(dir.join("x.csv"), "k,v\na,2\nb,3\nc,4\nd,5\n").unwrap();
+        fs::remove_file(sketch::sketch_path(&dir, "x.csv")).unwrap();
+        fs::remove_file(cache::cache_path(&dir, "x.csv")).unwrap();
+
+        cat.sketch_descriptors(&["din"]).unwrap();
+        assert_eq!(cat.sketch_load_counters().misses(), 1);
+        assert!(
+            sketch::read(&dir, "x.csv", old_fp).is_none(),
+            "new content must not be recorded under the old fingerprint"
+        );
+        let rescan = LakeCatalog::scan(&dir).unwrap();
+        assert_eq!(rescan.get("x").unwrap().nrows, 4, "rescan sees the edit");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,14 +9,15 @@
 //! * [`catalog`] — a [`LakeCatalog`] that scans a directory (profiling
 //!   changed files **in parallel**), registers every CSV with schema
 //!   metadata and per-column summary statistics ([`stats::ColumnStats`]),
-//!   and persists a sharded manifest ([`manifest`]) plus a binary
+//!   and persists one sketch record per file ([`sketch`]) plus a binary
 //!   columnar table cache ([`cache`]) under `<lake>/.metam/` so repeated
 //!   scans skip re-profiling — and repeated loads skip re-parsing — files
 //!   whose size and mtime are unchanged,
-//! * [`sketch`] — one versioned, checksummed discovery-sketch record per
-//!   table (`sketches/<file>.mks`): per-column MinHash + exact distinct
-//!   count, null count, dtype and value range, written at scan time so
-//!   candidate generation runs off the catalog without loading payloads,
+//! * [`sketch`] — the catalog's one versioned, checksummed record per
+//!   file (`sketches/<file>.mks`): row count plus per-column statistics
+//!   and MinHash (whose cardinality is the exact distinct count), written
+//!   at scan time so warm scans and candidate generation run off the
+//!   catalog without loading payloads,
 //! * [`prepare`] — [`parse_task`] (the single authority on CLI task
 //!   specs), [`prepare::repository_tables`] (which catalog tables a
 //!   discovery run searches over) and its sketch-backed twin
@@ -53,7 +54,6 @@
 pub mod cache;
 pub mod catalog;
 pub mod export;
-pub mod manifest;
 pub mod prepare;
 pub mod sketch;
 pub mod stats;
@@ -73,8 +73,6 @@ pub enum LakeError {
     Io(String),
     /// A CSV file failed to parse.
     Table(metam_table::TableError),
-    /// The persisted manifest is malformed.
-    Manifest(String),
     /// A referenced table is not in the catalog.
     UnknownTable(String),
     /// A user-facing argument (task spec, flag) is invalid.
@@ -86,7 +84,6 @@ impl fmt::Display for LakeError {
         match self {
             LakeError::Io(m) => write!(f, "io error: {m}"),
             LakeError::Table(e) => write!(f, "table error: {e}"),
-            LakeError::Manifest(m) => write!(f, "manifest error: {m}"),
             LakeError::UnknownTable(t) => write!(f, "unknown table: {t}"),
             LakeError::BadArgument(m) => write!(f, "bad argument: {m}"),
         }

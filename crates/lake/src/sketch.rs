@@ -1,13 +1,15 @@
-//! Persisted per-column discovery sketches under `<lake>/.metam/sketches/`.
+//! The catalog's per-file record under `<lake>/.metam/sketches/`.
 //!
-//! Every profiled file gets one binary record, `<file name>.mks`, holding
-//! what candidate generation needs and nothing else: per column, the
-//! MinHash signature with its exact distinct count, the null count, a
-//! dtype tag and the numeric value range. `LakeCatalog::sketch_descriptors`
-//! rebuilds [`TableDescriptor`]s straight from these records, so a
-//! discover run constructs its [`metam_discovery::DiscoveryIndex`] without
-//! touching `.mtc` or CSV payloads — prepare cost scales with catalog
-//! metadata, not lake bytes.
+//! Every profiled file gets one binary record, `<file name>.mks`, and it
+//! is the only per-file metadata the catalog keeps: the invalidation
+//! fingerprint, the row count and, per column, the summary statistics
+//! ([`ColumnStats`]: name, dtype, nulls, value range, mean) plus the
+//! MinHash signature whose cardinality is the exact distinct count. A
+//! scan builds each unchanged file's `TableMeta` from its record, and
+//! `LakeCatalog::sketch_descriptors` rebuilds [`TableDescriptor`]s from
+//! the same records, so a discover run constructs its
+//! [`metam_discovery::DiscoveryIndex`] without touching `.mtc` or CSV
+//! payloads — prepare cost scales with catalog metadata, not lake bytes.
 //!
 //! Layout (all integers little-endian):
 //!
@@ -20,26 +22,27 @@
 //! per column:
 //!   named: u8 (0|1) [+ name: u32 len + utf8]
 //!   dtype: u8 (0=int 1=float 2=str 3=bool)
-//!   null_count: u64            distinct: u64
-//!   min: u8 presence [+ f64 bits]   max: u8 presence [+ f64 bits]
+//!   null_count: u64            distinct: u64 (the MinHash cardinality)
+//!   min, max, mean: each u8 presence [+ f64 bits]
 //!   sketch slots: SKETCH_SLOTS × u64
 //! fnv1a-64 checksum of everything above: u64
 //! ```
 //!
-//! Invalidation mirrors the manifest and the `.mtc` cache: the embedded
-//! fingerprint must match the file's current size + mtime. A version
-//! bump, a stale fingerprint, truncation or a checksum mismatch all read
-//! as "no record" — the scan then re-profiles just that file and rewrites
-//! its record, and a prepare-time miss degrades to loading that one table
-//! (healing the record on the way). Records never fail a scan: writes are
-//! best-effort, reads are `Option`.
+//! Invalidation matches the `.mtc` cache: the embedded fingerprint must
+//! match the file's current size + mtime. A version bump (records written
+//! by an older build included), a stale fingerprint, truncation or a
+//! checksum mismatch all read as "no record" — the scan then re-profiles
+//! just that file and rewrites its record, and a prepare-time miss
+//! degrades to loading that one table (healing the record on the way).
+//! Records never fail a scan: writes are best-effort, reads are `Option`.
 
 use std::path::{Path, PathBuf};
 
 use metam_discovery::{ColumnDescriptor, MinHash, TableDescriptor, SKETCH_SLOTS};
-use metam_table::{DataType, Table};
+use metam_table::{Column, DataType, Table};
 
 use crate::catalog::Fingerprint;
+use crate::stats::ColumnStats;
 use crate::TableMeta;
 
 /// First four bytes of every sketch record.
@@ -47,7 +50,7 @@ pub const SKETCH_MAGIC: &[u8; 4] = b"MSKS";
 
 /// Record-format version; bump on breaking layout changes. A version
 /// mismatch invalidates the record exactly like a stale fingerprint.
-pub const SKETCH_VERSION: u32 = 1;
+pub const SKETCH_VERSION: u32 = 2;
 
 /// Directory holding `.mks` sketch records under a lake root.
 pub fn sketch_dir(root: &Path) -> PathBuf {
@@ -59,34 +62,38 @@ pub fn sketch_path(root: &Path, file_name: &str) -> PathBuf {
     sketch_dir(root).join(format!("{file_name}.mks"))
 }
 
-/// The trailing-checksum function of the record format (FNV-1a 64),
-/// public so tools and tests can craft or re-seal records.
-pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
+/// The trailing-checksum function of the record format (FNV-1a 64, the
+/// same one the `.mtc` payload uses), public so tools and tests can craft
+/// or re-seal records.
+pub use metam_table::colbin::fnv1a as checksum;
 
-/// Everything persisted about one column: the coupled sketch/cardinality
-/// pair plus the cheap summary facts discovery may filter on.
+/// Everything persisted about one column: its summary statistics plus
+/// the MinHash signature over its normalized distinct values.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSketch {
-    /// Column name (`None` for anonymous columns).
-    pub name: Option<String>,
-    /// Inferred logical type.
-    pub dtype: DataType,
-    /// Number of rows with a missing value.
-    pub null_count: usize,
-    /// Minimum of the numeric view, when one exists.
-    pub min: Option<f64>,
-    /// Maximum of the numeric view.
-    pub max: Option<f64>,
-    /// MinHash signature over the column's normalized distinct values;
-    /// its `cardinality` is the exact distinct count.
+    /// Summary statistics; `distinct_count` equals `sketch.cardinality`.
+    pub stats: ColumnStats,
+    /// MinHash signature whose `cardinality` is the exact distinct count.
     pub sketch: MinHash,
+}
+
+impl ColumnSketch {
+    /// Profile one column (the scan-time computation).
+    pub fn from_column(column: &Column) -> ColumnSketch {
+        let sketch = MinHash::from_keys(&column.distinct_keys());
+        ColumnSketch {
+            stats: ColumnStats {
+                name: column.name.clone(),
+                dtype: column.dtype(),
+                null_count: column.null_count(),
+                distinct_count: sketch.cardinality,
+                min: column.min(),
+                max: column.max(),
+                mean: column.mean(),
+            },
+            sketch,
+        }
+    }
 }
 
 /// One table's persisted sketch record.
@@ -107,24 +114,16 @@ pub struct TableSketch {
 impl TableSketch {
     /// Sketch a materialized table (the profile-time computation).
     pub fn from_table(table: &Table) -> TableSketch {
-        let columns = table
-            .columns()
-            .iter()
-            .map(|col| ColumnSketch {
-                name: col.name.clone(),
-                dtype: col.dtype(),
-                null_count: col.null_count(),
-                min: col.min(),
-                max: col.max(),
-                sketch: MinHash::from_keys(&col.distinct_keys()),
-            })
-            .collect();
         TableSketch {
             name: table.name.clone(),
             source: table.source.clone(),
             approx_bytes: table.approx_bytes(),
             nrows: table.nrows(),
-            columns,
+            columns: table
+                .columns()
+                .iter()
+                .map(ColumnSketch::from_column)
+                .collect(),
         }
     }
 
@@ -137,9 +136,9 @@ impl TableSketch {
             .columns
             .iter()
             .map(|c| {
-                let non_null = self.nrows.saturating_sub(c.null_count);
+                let non_null = self.nrows.saturating_sub(c.stats.null_count);
                 ColumnDescriptor {
-                    name: c.name.clone(),
+                    name: c.stats.name.clone(),
                     keyish: non_null > 0 && c.sketch.cardinality * 2 >= non_null,
                     sketch: c.sketch.clone(),
                 }
@@ -202,20 +201,25 @@ pub fn encode(fp: Fingerprint, sketch: &TableSketch) -> Vec<u8> {
     out.extend_from_slice(&(sketch.approx_bytes as u64).to_le_bytes());
     out.extend_from_slice(&(sketch.nrows as u64).to_le_bytes());
     out.extend_from_slice(&(sketch.columns.len() as u32).to_le_bytes());
-    for col in &sketch.columns {
-        match &col.name {
+    for ColumnSketch {
+        stats,
+        sketch: minhash,
+    } in &sketch.columns
+    {
+        match &stats.name {
             Some(name) => {
                 out.push(1);
                 put_str(&mut out, name);
             }
             None => out.push(0),
         }
-        out.push(dtype_tag(col.dtype));
-        out.extend_from_slice(&(col.null_count as u64).to_le_bytes());
-        out.extend_from_slice(&(col.sketch.cardinality as u64).to_le_bytes());
-        put_opt_f64(&mut out, col.min);
-        put_opt_f64(&mut out, col.max);
-        for slot in col.sketch.slots() {
+        out.push(dtype_tag(stats.dtype));
+        out.extend_from_slice(&(stats.null_count as u64).to_le_bytes());
+        out.extend_from_slice(&(minhash.cardinality as u64).to_le_bytes());
+        put_opt_f64(&mut out, stats.min);
+        put_opt_f64(&mut out, stats.max);
+        put_opt_f64(&mut out, stats.mean);
+        for slot in minhash.slots() {
             out.extend_from_slice(&slot.to_le_bytes());
         }
     }
@@ -309,16 +313,21 @@ pub fn decode(bytes: &[u8]) -> Option<(Fingerprint, TableSketch)> {
         let cardinality = cur.u64()? as usize;
         let min = cur.opt_f64()?;
         let max = cur.opt_f64()?;
+        let mean = cur.opt_f64()?;
         let mut slots = [0u64; SKETCH_SLOTS];
         for slot in slots.iter_mut() {
             *slot = cur.u64()?;
         }
         columns.push(ColumnSketch {
-            name: col_name,
-            dtype,
-            null_count,
-            min,
-            max,
+            stats: ColumnStats {
+                name: col_name,
+                dtype,
+                null_count,
+                distinct_count: cardinality,
+                min,
+                max,
+                mean,
+            },
             sketch: MinHash::from_parts(slots, cardinality),
         });
     }
@@ -350,15 +359,20 @@ pub fn store(
     std::fs::write(sketch_path(root, file_name), encode(fp, sketch))
 }
 
-/// Load the sketch record for a catalog entry, validating version,
-/// checksum and the embedded fingerprint against the entry's recorded
-/// size + mtime. `None` on any mismatch or damage — never an error.
+/// Read the record of `file_name`, validating magic, version, checksum
+/// and the embedded fingerprint against `fp` (the file's current size +
+/// mtime). `None` on any mismatch or damage — never an error; the scan
+/// treats it as a miss and re-profiles the file.
+pub fn read(root: &Path, file_name: &str, fp: Fingerprint) -> Option<TableSketch> {
+    let bytes = std::fs::read(sketch_path(root, file_name)).ok()?;
+    let (stored_fp, sketch) = decode(&bytes)?;
+    (stored_fp == fp).then_some(sketch)
+}
+
+/// Load the sketch record for a catalog entry ([`read`] at the entry's
+/// recorded fingerprint), pinned to the current catalog view.
 pub fn load(root: &Path, entry: &TableMeta) -> Option<TableSketch> {
-    let bytes = std::fs::read(sketch_path(root, &entry.file_name)).ok()?;
-    let (fp, mut sketch) = decode(&bytes)?;
-    if fp != entry.fingerprint() {
-        return None;
-    }
+    let mut sketch = read(root, &entry.file_name, entry.fingerprint())?;
     // Pin identity to the *current* catalog view, exactly like the `.mtc`
     // cache does: the stem is authoritative for the name and a renamed
     // lake directory changes the provenance tag.
@@ -369,21 +383,9 @@ pub fn load(root: &Path, entry: &TableMeta) -> Option<TableSketch> {
     Some(sketch)
 }
 
-/// `true` when `file_name` has a fully valid sketch record at `fp`
-/// (magic, version, checksum and fingerprint all check out). The scan
-/// planner uses this to demote manifest hits whose sketch is missing or
-/// damaged, so stale records heal by re-profiling just their file.
-pub fn is_fresh(root: &Path, file_name: &str, fp: Fingerprint) -> bool {
-    let Ok(bytes) = std::fs::read(sketch_path(root, file_name)) else {
-        return false;
-    };
-    matches!(decode(&bytes), Some((stored_fp, _)) if stored_fp == fp)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metam_table::Column;
 
     fn tmp_root(tag: &str) -> PathBuf {
         let dir =
@@ -429,6 +431,31 @@ mod tests {
     }
 
     #[test]
+    fn column_stats_reflect_column() {
+        let c = Column::from_floats(
+            Some("x".into()),
+            vec![Some(1.0), None, Some(3.0), Some(3.0)],
+        );
+        let ColumnSketch { stats, sketch } = ColumnSketch::from_column(&c);
+        assert_eq!(stats.dtype, DataType::Float);
+        assert_eq!(stats.null_count, 1);
+        assert_eq!(stats.distinct_count, 2);
+        assert_eq!(stats.distinct_count, c.distinct_count());
+        assert_eq!(sketch.cardinality, 2);
+        assert_eq!(stats.min, Some(1.0));
+        assert_eq!(stats.max, Some(3.0));
+        assert!((stats.mean.unwrap() - 7.0 / 3.0).abs() < 1e-12);
+        assert_eq!(stats.display_name(0), "x");
+    }
+
+    #[test]
+    fn anonymous_column_displays_positionally() {
+        let c = Column::from_ints(None, vec![Some(1)]);
+        let stats = ColumnSketch::from_column(&c).stats;
+        assert_eq!(stats.display_name(2), "_col2");
+    }
+
+    #[test]
     fn encode_decode_roundtrips_bit_identically() {
         let sketch = TableSketch::from_table(&table());
         let fp = (12, 34, 56);
@@ -456,9 +483,9 @@ mod tests {
         assert!(load(&root, &entry((10, 20, 30))).is_some());
         assert!(load(&root, &entry((11, 20, 30))).is_none(), "stale size");
         assert!(load(&root, &entry((10, 21, 30))).is_none(), "stale mtime");
-        assert!(is_fresh(&root, "t.csv", (10, 20, 30)));
-        assert!(!is_fresh(&root, "t.csv", (10, 20, 31)));
-        assert!(!is_fresh(&root, "missing.csv", (10, 20, 30)));
+        assert!(read(&root, "t.csv", (10, 20, 30)).is_some());
+        assert!(read(&root, "t.csv", (10, 20, 31)).is_none());
+        assert!(read(&root, "missing.csv", (10, 20, 30)).is_none());
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,11 +1,12 @@
 //! Per-column summary statistics stored in the catalog.
 //!
 //! These are the lake's *profile cache*: cheap table-level statistics
-//! computed once per file version and reused until the file changes. They
-//! back the `profile` CLI view and give discovery a first look at a table
-//! without re-reading it.
+//! computed once per file version (alongside the column's MinHash, see
+//! [`crate::sketch::ColumnSketch`]) and persisted in its `.mks` record
+//! until the file changes. They back the `profile` CLI view and give
+//! discovery a first look at a table without re-reading it.
 
-use metam_table::{Column, DataType};
+use metam_table::DataType;
 
 /// Summary statistics of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,89 +25,21 @@ pub struct ColumnStats {
     pub max: Option<f64>,
     /// Mean of the numeric view.
     pub mean: Option<f64>,
-    /// Population standard deviation of the numeric view.
-    pub std: Option<f64>,
 }
 
 impl ColumnStats {
-    /// Profile one column.
-    pub fn from_column(column: &Column) -> ColumnStats {
-        ColumnStats {
-            name: column.name.clone(),
-            dtype: column.dtype(),
-            null_count: column.null_count(),
-            distinct_count: column.distinct_count(),
-            min: column.min(),
-            max: column.max(),
-            mean: column.mean(),
-            std: column.std(),
-        }
-    }
-
     /// Display name (anonymous columns render as `_colN`).
     pub fn display_name(&self, index: usize) -> String {
         self.name.clone().unwrap_or_else(|| format!("_col{index}"))
     }
 }
 
-/// Stable string form of a [`DataType`] for the manifest.
+/// Stable string form of a [`DataType`] for display and JSON output.
 pub fn dtype_to_str(dtype: DataType) -> &'static str {
     match dtype {
         DataType::Int => "int",
         DataType::Float => "float",
         DataType::Str => "str",
         DataType::Bool => "bool",
-    }
-}
-
-/// Parse a manifest dtype token.
-pub fn dtype_from_str(s: &str) -> Option<DataType> {
-    match s {
-        "int" => Some(DataType::Int),
-        "float" => Some(DataType::Float),
-        "str" => Some(DataType::Str),
-        "bool" => Some(DataType::Bool),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn stats_reflect_column() {
-        let c = Column::from_floats(
-            Some("x".into()),
-            vec![Some(1.0), None, Some(3.0), Some(3.0)],
-        );
-        let s = ColumnStats::from_column(&c);
-        assert_eq!(s.dtype, DataType::Float);
-        assert_eq!(s.null_count, 1);
-        assert_eq!(s.distinct_count, 2);
-        assert_eq!(s.min, Some(1.0));
-        assert_eq!(s.max, Some(3.0));
-        assert!((s.mean.unwrap() - 7.0 / 3.0).abs() < 1e-12);
-        assert_eq!(s.display_name(0), "x");
-    }
-
-    #[test]
-    fn anonymous_column_displays_positionally() {
-        let c = Column::from_ints(None, vec![Some(1)]);
-        let s = ColumnStats::from_column(&c);
-        assert_eq!(s.display_name(2), "_col2");
-    }
-
-    #[test]
-    fn dtype_roundtrip() {
-        for d in [
-            DataType::Int,
-            DataType::Float,
-            DataType::Str,
-            DataType::Bool,
-        ] {
-            assert_eq!(dtype_from_str(dtype_to_str(d)), Some(d));
-        }
-        assert_eq!(dtype_from_str("blob"), None);
     }
 }

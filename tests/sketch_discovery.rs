@@ -74,7 +74,7 @@ fn version_bump_invalidates_and_rescan_heals() {
     let scenario = howto_scenario();
     export_scenario(&scenario, &dir).expect("export");
     let first = LakeCatalog::scan(&dir).expect("scan");
-    assert_eq!(first.sketch_misses(), first.len(), "cold lake writes all");
+    assert_eq!(first.cache_misses(), first.len(), "cold lake writes all");
 
     // Forge a future-version record with a *valid* checksum: bump the
     // version field, then re-seal. Freshness must reject it on version
@@ -96,8 +96,8 @@ fn version_bump_invalidates_and_rescan_heals() {
     // Re-scan: the one demoted file re-profiles and heals its record back
     // to the current version; everything else stays a sketch hit.
     let second = LakeCatalog::scan(&dir).expect("rescan");
-    assert_eq!(second.sketch_misses(), 1, "only the forged record demotes");
-    assert_eq!(second.sketch_hits(), second.len() - 1);
+    assert_eq!(second.cache_misses(), 1, "only the forged record demotes");
+    assert_eq!(second.cache_hits(), second.len() - 1);
     let healed = std::fs::read(&path).expect("read healed record");
     assert_eq!(
         u32::from_le_bytes(healed[4..8].try_into().expect("4 bytes")),
@@ -114,7 +114,7 @@ fn version_bump_invalidates_and_rescan_heals() {
 
 #[test]
 fn corrupt_record_self_heals_during_prepare() {
-    // A record that rots *after* scan (so the manifest still trusts it)
+    // A record that rots *after* scan (so the catalog still trusts it)
     // must not poison prepare: `sketch_descriptors` falls back to the
     // table payload for that one file, produces the same descriptor, and
     // rewrites the record in place.
@@ -156,7 +156,7 @@ fn corrupt_record_self_heals_during_prepare() {
     // matches the sketch of the table it summarizes.
     let healed = sketch::load(&dir, &victim).expect("healed record validates");
     let catalog = LakeCatalog::scan(&dir).expect("rescan");
-    assert_eq!(catalog.sketch_hits(), catalog.len(), "no demotions left");
+    assert_eq!(catalog.cache_hits(), catalog.len(), "no demotions left");
     let table = catalog.load_table(&victim.name).expect("load");
     assert_eq!(healed, sketch::TableSketch::from_table(&table));
 
