@@ -46,7 +46,6 @@ const SANCTIONED_SPAWN_MODULES: &[&str] = &["crates/pool/src/lib.rs", "crates/se
 const ENV_ALLOWED: &[&str] = &[
     "crates/lake/src/catalog.rs",
     "crates/obs/src/sink.rs",
-    "crates/serve/src/server.rs",
     "src/cli.rs",
 ];
 const ENV_ALLOWED_PREFIXES: &[&str] = &["crates/bench/", "src/bin/"];

@@ -13,13 +13,9 @@
 use std::fs;
 use std::path::PathBuf;
 
-use metam::core::engine::SearchInputs;
 use metam::core::trace::{resample, TracePoint};
 use metam::obs::json::{pretty, write_f64, write_string};
-use metam::{
-    run_method, run_method_with_observer, Method, Prepared, QueryEvent, RunObserver, RunResult,
-    StopReason,
-};
+use metam::{run_method_with_observer, Method, Prepared, QueryEvent, RunObserver, StopReason};
 
 /// Command-line arguments shared by all experiment binaries.
 #[derive(Debug, Clone)]
@@ -374,31 +370,6 @@ pub fn run_methods(
         .collect()
 }
 
-/// Run a single method and return the raw result (for query-count tables).
-pub fn run_one(
-    prepared: &Prepared,
-    method: &Method,
-    theta: Option<f64>,
-    budget: usize,
-) -> RunResult {
-    run_method(method, &prepared.inputs(), theta, budget)
-}
-
-/// Borrow a `SearchInputs` with a synthetic task override — used by the
-/// scalability experiments where the model fit would drown the measurement.
-pub fn inputs_with_task<'a>(prepared: &'a Prepared, task: &'a dyn metam::Task) -> SearchInputs<'a> {
-    SearchInputs {
-        din: &prepared.din,
-        target_column: prepared.target_column,
-        candidates: &prepared.candidates,
-        profiles: &prepared.profiles,
-        profile_names: &prepared.profile_names,
-        materializer: &prepared.materializer,
-        task,
-        threads: prepared.threads,
-    }
-}
-
 /// The standard method lineup of Fig. 3 (iARDA appended only for ML tasks,
 /// as in the paper).
 pub fn standard_methods(seed: u64, with_iarda: Option<bool>) -> Vec<Method> {
@@ -423,6 +394,7 @@ pub fn standard_methods(seed: u64, with_iarda: Option<bool>) -> Vec<Method> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use metam::run_method;
 
     #[test]
     fn grid_is_even_and_capped() {

@@ -202,6 +202,24 @@ fn fingerprint(path: &Path) -> Result<Fingerprint> {
     Ok((meta.len(), s, ns))
 }
 
+/// The `*.csv` files directly under `root` as `(file name, path)`, sorted.
+fn csv_files(root: &Path) -> std::io::Result<Vec<(String, PathBuf)>> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(root)? {
+        let entry = entry?;
+        let path = entry.path();
+        let is_csv = path.is_file()
+            && path
+                .extension()
+                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
+        if is_csv {
+            files.push((entry.file_name().to_string_lossy().into_owned(), path));
+        }
+    }
+    files.sort();
+    Ok(files)
+}
+
 /// One changed file queued for (re-)profiling.
 struct MissJob {
     file_name: String,
@@ -254,23 +272,7 @@ impl LakeCatalog {
         let root = root.as_ref().to_path_buf();
         let mut scan_span = metam_obs::span("scan", root.display().to_string());
 
-        let mut files: Vec<(String, PathBuf)> = Vec::new();
-        for entry in std::fs::read_dir(&root)? {
-            let entry = entry?;
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let is_csv = path
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if !is_csv {
-                continue;
-            }
-            let file_name = entry.file_name().to_string_lossy().into_owned();
-            files.push((file_name, path));
-        }
-        files.sort();
+        let files = csv_files(&root)?;
 
         // Table names are file stems; two files must not collapse onto one
         // name (e.g. `trips.csv` + `trips.CSV`) or lookups and the
@@ -521,25 +523,9 @@ impl LakeCatalog {
     /// (the `metam serve` registry) errs toward a [`rescan`](Self::rescan)
     /// rather than serving answers about files it can no longer see.
     pub fn is_stale(&self) -> bool {
-        let mut current: Vec<(String, PathBuf)> = Vec::new();
-        let Ok(dir) = std::fs::read_dir(&self.root) else {
+        let Ok(current) = csv_files(&self.root) else {
             return true;
         };
-        for entry in dir {
-            let Ok(entry) = entry else { return true };
-            let path = entry.path();
-            if !path.is_file() {
-                continue;
-            }
-            let is_csv = path
-                .extension()
-                .is_some_and(|e| e.eq_ignore_ascii_case("csv"));
-            if !is_csv {
-                continue;
-            }
-            current.push((entry.file_name().to_string_lossy().into_owned(), path));
-        }
-        current.sort();
         if current.len() != self.entries.len() {
             return true;
         }

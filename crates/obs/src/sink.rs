@@ -230,6 +230,11 @@ pub(crate) mod test_support {
     use std::io::Write;
     use std::sync::{Arc, Mutex, PoisonError};
 
+    /// The sink is process-global; every test that installs a sink or
+    /// emits a line holds this lock, so no line lands in another test's
+    /// buffer.
+    pub(crate) static SINK_TESTS: Mutex<()> = Mutex::new(());
+
     /// `Write` into an `Arc<Mutex<Vec<u8>>>` the test keeps a clone of.
     #[derive(Debug, Clone, Default)]
     pub struct SharedBuf(pub Arc<Mutex<Vec<u8>>>);
@@ -259,13 +264,9 @@ pub(crate) mod test_support {
 
 #[cfg(test)]
 mod tests {
-    use super::test_support::SharedBuf;
+    use super::test_support::{SharedBuf, SINK_TESTS};
     use super::*;
     use crate::json::{parse, Value};
-    use std::sync::Mutex as StdMutex;
-
-    /// The sink is process-global; serialize tests that install one.
-    static SINK_TESTS: StdMutex<()> = StdMutex::new(());
 
     #[test]
     fn events_are_valid_jsonl_with_required_fields() {

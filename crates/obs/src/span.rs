@@ -65,9 +65,13 @@ pub fn span(kind: &'static str, name: impl Into<String>) -> Span {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::test_support::SINK_TESTS;
+    use std::sync::PoisonError;
 
     #[test]
     fn spans_record_into_the_registry() {
+        // Dropping the span emits a line if another test has a sink installed.
+        let _guard = SINK_TESTS.lock().unwrap_or_else(PoisonError::into_inner);
         {
             let mut s = span("test.span.unit", "one");
             s.field("rows", 42.0);

@@ -73,27 +73,6 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    /// Overlay `METAM_SERVE_WORKERS` / `METAM_SERVE_QUEUE` from the
-    /// process environment (explicit CLI flags beat these; this module is
-    /// the crate's one sanctioned env-read site).
-    pub fn from_env(mut self) -> ServeConfig {
-        if let Some(n) = read_env_usize("METAM_SERVE_WORKERS") {
-            self.workers = n.max(1);
-        }
-        if let Some(n) = read_env_usize("METAM_SERVE_QUEUE") {
-            self.queue = n;
-        }
-        self
-    }
-}
-
-fn read_env_usize(key: &str) -> Option<usize> {
-    std::env::var(key)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-}
-
 /// What the discover handler returns: the full `discover --json` report
 /// plus the per-request cache-delta section, both pre-serialized.
 #[derive(Debug)]

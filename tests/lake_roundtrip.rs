@@ -274,6 +274,43 @@ fn discover_loads_only_din_and_candidate_tables_from_the_cache() {
         "loads = din + candidate-path tables, nothing else"
     );
     assert_eq!(counters.misses(), 0, "no CSV re-parsing on a warm lake");
+    let loads = counters.hits();
+
+    // Grow the lake with tables that can never join din: each keys on its
+    // own `d<f>_<r>` namespace. Their names sort after every scenario
+    // table, so repository indices on the join paths stay put. The loads
+    // must not grow with the lake.
+    const EXTRA: usize = 40;
+    for f in 0..EXTRA {
+        let mut csv = String::from("key,metric\n");
+        for r in 0..30 {
+            csv.push_str(&format!("d{f}_{r},{}.5\n", (f * 31 + r * 7) % 1000));
+        }
+        std::fs::write(dir.join(format!("zz_noise_{f:02}.csv")), csv).expect("write noise");
+    }
+    let catalog = LakeCatalog::scan(&dir).expect("rescan");
+    assert_eq!(catalog.len(), n_tables + EXTRA);
+    assert_eq!(catalog.cache_hits(), n_tables, "old records are reused");
+    let counters = catalog.load_counters();
+    let sketch_counters = catalog.sketch_load_counters();
+    let grown = Session::from_catalog(catalog)
+        .din("din")
+        .task_spec("classification:label")
+        .seed(17)
+        .prepare()
+        .expect("prepare on the grown lake");
+    assert_eq!(
+        grown.candidates, prepared.candidates,
+        "candidates do not change as the lake grows"
+    );
+    assert_eq!(
+        counters.hits(),
+        loads,
+        "loads stay din + candidate-path tables"
+    );
+    assert_eq!(counters.misses(), 0);
+    assert_eq!(sketch_counters.hits(), n_tables + EXTRA - 1);
+    assert_eq!(sketch_counters.misses(), 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
